@@ -3,8 +3,10 @@
 // failures, uplink flaps, and thermal trips, detected by heartbeats (no
 // oracle) and repaired by the closed ChaosRunner control loop. Phase two
 // replays a compressed failure storm against the DL-serving fleet, with and
-// without request-level resilience (deadline + retry + hedging), to price
-// what the mechanisms buy in goodput.
+// without request-level overload control (a 2 s deadline and a 200-deep
+// queue), to price what bounding the backlog costs in goodput and buys in
+// tail latency. Neither arm retries: a request whose SoC dies under it is
+// counted as failed (retrying is the client tier's job, src/trace/session.h).
 //
 // Flags: --days=N (fault horizon, default 90), --seed=S (default 42),
 //        --trace-out/--metrics-out/--digest-out/--slo-out=PATH (applied to
@@ -134,8 +136,6 @@ struct GoodputOutcome {
   int64_t failed = 0;
   int64_t shed = 0;
   int64_t expired = 0;
-  int64_t retries = 0;
-  int64_t hedges = 0;
   double p99_ms = 0.0;
   int64_t slo_fires = 0;
   int64_t slo_clears = 0;
@@ -147,8 +147,8 @@ struct GoodputOutcome {
 };
 
 // A compressed failure storm against the serving fleet: transient SoC
-// faults every few minutes of fleet-time, with or without request-level
-// resilience.
+// faults every few minutes of fleet-time, with or without the deadline and
+// the bounded queue.
 GoodputOutcome MeasureGoodput(bool resilient, uint64_t seed,
                               const ObsFlags* obs_flags) {
   Simulator sim(seed);
@@ -169,12 +169,6 @@ GoodputOutcome MeasureGoodput(bool resilient, uint64_t seed,
   if (resilient) {
     fleet.SetDeadline(Duration::Seconds(2));
     fleet.admission().SetMaxQueue(200);
-    RetryPolicy policy;
-    policy.max_attempts = 4;
-    policy.initial_backoff = Duration::Millis(50);
-    fleet.SetRetryPolicy(policy, seed + 1);
-    fleet.SetRetryBudget(/*tokens_per_success=*/0.2, /*max_tokens=*/50.0);
-    fleet.EnableHedging(Duration::Millis(150));
   }
 
   ChaosConfig config;
@@ -199,8 +193,6 @@ GoodputOutcome MeasureGoodput(bool resilient, uint64_t seed,
   outcome.failed = fleet.failed();
   outcome.shed = fleet.shed();
   outcome.expired = fleet.deadline_expired();
-  outcome.retries = fleet.retries();
-  outcome.hedges = fleet.hedges();
   outcome.p99_ms =
       fleet.latencies().count() > 0 ? fleet.latencies().Percentile(99) : 0.0;
   // Drain-end evaluation records the clear for any alert still firing.
@@ -237,25 +229,22 @@ void RunGoodput(uint64_t seed, const ObsFlags& obs_flags,
   std::printf("=== Goodput under a failure storm (ResNet-50, 5 SoCs at 85%% "
               "load, 30 s transient fault ~every 2 min/SoC) ===\n\n");
   TextTable table({"mode", "goodput", "p99 ms", "completed", "failed",
-                   "expired", "shed", "retries", "hedges"});
+                   "expired", "shed"});
   table.AddRow({"naive", FormatDouble(naive.Goodput(), 4),
                 FormatDouble(naive.p99_ms, 0),
                 std::to_string(naive.completed), std::to_string(naive.failed),
-                std::to_string(naive.expired), std::to_string(naive.shed),
-                std::to_string(naive.retries), std::to_string(naive.hedges)});
+                std::to_string(naive.expired), std::to_string(naive.shed)});
   table.AddRow({"resilient", FormatDouble(resilient.Goodput(), 4),
                 FormatDouble(resilient.p99_ms, 0),
                 std::to_string(resilient.completed),
                 std::to_string(resilient.failed),
                 std::to_string(resilient.expired),
-                std::to_string(resilient.shed),
-                std::to_string(resilient.retries),
-                std::to_string(resilient.hedges)});
+                std::to_string(resilient.shed)});
   std::printf("%s\n", table.Render().c_str());
-  std::printf("Takeaway: the naive fleet loses every mid-flight request to a "
-              "dead SoC and lets the backlog blow up the tail; deadline + "
-              "shedding trade a bounded slice of goodput for a bounded p99, "
-              "while retry + hedging recover the killed requests.\n");
+  std::printf("Takeaway: both fleets lose every mid-flight request to a dead "
+              "SoC; the naive one also lets the backlog blow up the tail, "
+              "while deadline + shedding trade a bounded slice of goodput for "
+              "a bounded p99.\n");
 
   report->Add("goodput_naive", naive.Goodput(), "fraction");
   report->Add("goodput_resilient", resilient.Goodput(), "fraction");
@@ -265,9 +254,6 @@ void RunGoodput(uint64_t seed, const ObsFlags& obs_flags,
               "count");
   report->Add("storm_failed_resilient",
               static_cast<double>(resilient.failed), "count");
-  report->Add("storm_retries", static_cast<double>(resilient.retries),
-              "count");
-  report->Add("storm_hedges", static_cast<double>(resilient.hedges), "count");
   report->Add("storm_deadline_expired",
               static_cast<double>(resilient.expired), "count");
   report->Add("storm_slo_fires", static_cast<double>(resilient.slo_fires),

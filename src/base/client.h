@@ -31,7 +31,8 @@ enum class ClientOutcome {
   kSuccess = 0,  // Completed; latency is submit-to-completion.
   kShed = 1,     // Refused or evicted by admission/breaker/queue pressure.
   kExpired = 2,  // Purged server-side after its deadline passed.
-  kFailed = 3,   // Abandoned after server-side failures (no retry left).
+  kFailed = 3,   // Its SoC died (or came back broken) under it; the server
+                 // never retries, so any retry is the client's own.
 };
 
 constexpr const char* ClientOutcomeName(ClientOutcome outcome) {

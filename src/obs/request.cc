@@ -52,30 +52,6 @@ void TraceRequestDispatch(Tracer* tracer, RequestContext* ctx, SimTime now,
   }
 }
 
-void TraceRequestRetry(Tracer* tracer, RequestContext* ctx, SimTime now,
-                       int64_t track) {
-  if (ctx == nullptr) {
-    return;
-  }
-  ctx->last_event = now;
-  ++ctx->retries;
-  if (Ready(tracer, ctx)) {
-    tracer->FlowStep("retry", ctx->category, ctx->id, track);
-  }
-}
-
-void TraceRequestHedge(Tracer* tracer, RequestContext* ctx, SimTime now,
-                       int64_t track) {
-  if (ctx == nullptr) {
-    return;
-  }
-  ctx->last_event = now;
-  ++ctx->hedges;
-  if (Ready(tracer, ctx)) {
-    tracer->FlowStep("hedge", ctx->category, ctx->id, track);
-  }
-}
-
 void TraceRequestFailover(Tracer* tracer, RequestContext* ctx, SimTime now,
                           int64_t track) {
   if (ctx == nullptr) {

@@ -38,8 +38,6 @@ struct RequestContext {
   SimTime last_event;       // Most recent hop of any kind.
 
   int dispatches = 0;
-  int retries = 0;
-  int hedges = 0;
   int failovers = 0;
   bool admitted = false;
   bool completed = false;
@@ -58,10 +56,6 @@ void TraceRequestAdmit(Tracer* tracer, RequestContext* ctx, SimTime now,
                        int64_t track = 0);
 void TraceRequestDispatch(Tracer* tracer, RequestContext* ctx, SimTime now,
                           int soc_index, int64_t track);
-void TraceRequestRetry(Tracer* tracer, RequestContext* ctx, SimTime now,
-                       int64_t track = 0);
-void TraceRequestHedge(Tracer* tracer, RequestContext* ctx, SimTime now,
-                       int64_t track = 0);
 void TraceRequestFailover(Tracer* tracer, RequestContext* ctx, SimTime now,
                           int64_t track = 0);
 void TraceRequestComplete(Tracer* tracer, RequestContext* ctx, SimTime now,

@@ -119,13 +119,6 @@ bool AdmissionQueue::Offer(Priority priority, Duration deadline,
   return true;
 }
 
-void AdmissionQueue::Restore(Item item) {
-  const Priority priority = item.priority;
-  ByClass(priority).push_back(std::move(item));
-  ++size_;
-  NoteQueued();
-}
-
 void AdmissionQueue::RestoreFront(Item item) {
   const Priority priority = item.priority;
   ByClass(priority).push_front(std::move(item));

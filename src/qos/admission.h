@@ -92,12 +92,9 @@ class AdmissionQueue {
   // the way. Empty optional when nothing dispatchable remains.
   std::optional<Item> Pop();
 
-  // Re-queues an item at the back of its class, bypassing every admission
-  // check (retry/hedge rescue paths keep their original enqueue time and
-  // must not be shed at the door twice).
-  void Restore(Item item);
-  // As Restore, but to the *front* of its class — for peek-style consumers
-  // that Pop, fail to place, and put the head back without reordering.
+  // Re-queues an item at the *front* of its class, bypassing every
+  // admission check — for peek-style consumers that Pop, fail to place, and
+  // put the head back without reordering.
   void RestoreFront(Item item);
 
   // Brownout hook: refuse classes numerically above `floor` at the door.

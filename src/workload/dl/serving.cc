@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "src/base/check.h"
-#include "src/obs/retrymetrics.h"
 
 namespace soccluster {
 
@@ -53,8 +52,6 @@ SocServingFleet::SocServingFleet(Simulator* sim, SocCluster* cluster,
   shed_metric_ = metrics.GetCounter("dl.serving.shed");
   expired_metric_ = metrics.GetCounter("dl.serving.expired");
   failed_metric_ = metrics.GetCounter("dl.serving.failed");
-  retries_metric_ = metrics.GetCounter("dl.serving.retries");
-  hedges_metric_ = metrics.GetCounter("dl.serving.hedges");
   latency_metric_ = metrics.GetHistogram("dl.serving.latency_ms");
   // The fleet serves the open-loop millions-of-requests scenarios; the
   // registry histogram is sketch-backed so memory stays O(buckets). Exact
@@ -86,7 +83,6 @@ SocServingFleet::SocServingFleet(Simulator* sim, SocCluster* cluster,
 void SocServingFleet::OnAdmissionDrop(const AdmissionQueue::Item& item,
                                       AdmissionQueue::DropReason reason) {
   auto request = std::static_pointer_cast<RequestState>(item.payload);
-  request->done = true;
   Tracer& tracer = sim_->tracer();
   // Incoming drops carry no spans yet (id 0 => no-op); queued victims do.
   tracer.EndSpan(request->queue_span);
@@ -137,24 +133,6 @@ void SocServingFleet::SetDispatchLimit(int limit) {
   TryDispatch();  // Raising (or removing) the limit may unblock the queue.
 }
 
-void SocServingFleet::SetRetryPolicy(RetryPolicy policy, uint64_t seed) {
-  backoff_ = std::make_unique<RetryBackoff>(policy, seed);
-  AttachRetryMetrics(&sim_->metrics(), "dl.serving", backoff_.get(),
-                     /*budget=*/nullptr);
-}
-
-void SocServingFleet::SetRetryBudget(double tokens_per_success,
-                                     double max_tokens) {
-  budget_ = std::make_unique<RetryBudget>(tokens_per_success, max_tokens);
-  AttachRetryMetrics(&sim_->metrics(), "dl.serving", /*backoff=*/nullptr,
-                     budget_.get());
-}
-
-void SocServingFleet::EnableHedging(Duration hedge_delay) {
-  SOC_CHECK_GT(hedge_delay.nanos(), 0);
-  hedge_delay_ = hedge_delay;
-}
-
 void SocServingFleet::NotifyClient(const RequestPtr& request,
                                    ClientOutcome outcome) {
   if (client_observer_ && request->client.attributed()) {
@@ -190,7 +168,6 @@ void SocServingFleet::Submit(Priority priority,
   auto request = std::make_shared<RequestState>();
   request->enqueue = sim_->Now();
   request->priority = priority;
-  request->deadline = deadline;
   request->client = client;
   // The id is allocated before admission (unlike the spans) so the causal
   // chain can show the shed decision for requests that never get in.
@@ -211,24 +188,7 @@ void SocServingFleet::Submit(Priority priority,
   TryDispatch();
 }
 
-void SocServingFleet::Requeue(RequestPtr request) {
-  request->active_attempt = 0;
-  request->queue_span =
-      sim_->tracer().BeginAsyncSpan("queue", "dl.serving", request->request_id,
-                                    request->request_span);
-  AdmissionQueue::Item item;
-  item.priority = request->priority;
-  item.enqueue = request->enqueue;  // Keep the original arrival time.
-  item.deadline = request->deadline;
-  item.payload = request;
-  item.ctx = &request->ctx;
-  admission_.Restore(std::move(item));
-  max_queue_metric_->SetMax(static_cast<double>(admission_.max_queue_length()));
-  TryDispatch();
-}
-
 void SocServingFleet::Abandon(const RequestPtr& request) {
-  request->done = true;
   ++failed_;
   failed_metric_->Increment();
   NotifyClient(request, ClientOutcome::kFailed);
@@ -265,15 +225,12 @@ void SocServingFleet::TryDispatch() {
                          SocTrack(chosen));
     view_.Reserve(chosen, slot);
     ++in_flight_;
-    const int attempt = ++request->attempts;
-    request->active_attempt = attempt;
     request->attempt_start = sim_->Now();
     // The request's inference phase, in two views: the async child follows
     // the request, the track span shows the SoC busy.
     const SpanId infer_span = tracer.BeginAsyncSpan(
         "infer", "dl.serving", request->request_id, request->request_span);
     tracer.AddArg(infer_span, "soc", static_cast<int64_t>(chosen));
-    tracer.AddArg(infer_span, "attempt", static_cast<int64_t>(attempt));
     const SpanId infer_track_span =
         tracer.BeginSpan("infer", "dl.serving", SocTrack(chosen));
     SocModel& soc = cluster_->soc(chosen);
@@ -304,41 +261,13 @@ void SocServingFleet::TryDispatch() {
         1.0 / (PerSocThroughput() * soc.throttle_factor()));
     sim_->ScheduleAfter(
         service,
-        [this, chosen, request, attempt, fail_epoch, cpu_grant,
-         infer_track_span, infer_span]() mutable {
-          FinishOn(chosen, std::move(request), attempt, fail_epoch, cpu_grant,
+        [this, chosen, request, fail_epoch, cpu_grant, infer_track_span,
+         infer_span]() mutable {
+          FinishOn(chosen, std::move(request), fail_epoch, cpu_grant,
                    infer_track_span, infer_span);
         },
         "dl.serving.finish", event_anchor_);
-    if (hedge_delay_.nanos() > 0) {
-      sim_->ScheduleAfter(
-          hedge_delay_,
-          [this, chosen, request, attempt, fail_epoch] {
-            HedgeCheck(chosen, request, attempt, fail_epoch);
-          },
-          "dl.serving.hedge", event_anchor_);
-    }
   }
-}
-
-void SocServingFleet::HedgeCheck(int soc_index, RequestPtr request,
-                                 int attempt, int64_t fail_epoch) {
-  if (request->done || request->active_attempt != attempt) {
-    return;  // Already finished, or already rescued.
-  }
-  if (cluster_->soc(soc_index).fail_count() == fail_epoch) {
-    return;  // The SoC is still the one we dispatched to; let it finish.
-  }
-  // The serving SoC died under the request. Rescue it now instead of
-  // waiting out a completion that will only report the death later. Counts
-  // as a hedge, not a retry: it consumes no retry budget (the failure is
-  // certain, not suspected).
-  ++hedges_;
-  hedges_metric_->Increment();
-  sim_->tracer().Instant("hedge", "dl.serving");
-  TraceRequestHedge(&sim_->tracer(), &request->ctx, sim_->Now(),
-                    SocTrack(soc_index));
-  Requeue(std::move(request));
 }
 
 void SocServingFleet::RecordCompletion(int soc_index,
@@ -362,13 +291,9 @@ void SocServingFleet::RecordCompletion(int soc_index,
 }
 
 void SocServingFleet::Complete(int soc_index, const RequestPtr& request) {
-  request->done = true;
   ++completed_;
   ++completed_of_[static_cast<size_t>(request->priority)];
   completed_metric_->Increment();
-  if (budget_ != nullptr) {
-    budget_->RecordSuccess();
-  }
   if (breaker_ != nullptr) {
     breaker_->RecordSuccess();
   }
@@ -402,7 +327,7 @@ void SocServingFleet::Complete(int soc_index, const RequestPtr& request) {
   }
 }
 
-void SocServingFleet::FinishOn(int soc_index, RequestPtr request, int attempt,
+void SocServingFleet::FinishOn(int soc_index, RequestPtr request,
                                int64_t fail_epoch, double cpu_grant,
                                SpanId infer_track_span, SpanId infer_span) {
   PlacementDemand slot;
@@ -436,11 +361,6 @@ void SocServingFleet::FinishOn(int soc_index, RequestPtr request, int attempt,
   Tracer& tracer = sim_->tracer();
   tracer.EndSpan(infer_track_span);
   tracer.EndSpan(infer_span);
-  if (request->done || request->active_attempt != attempt) {
-    // Completed elsewhere or rescued by a hedge; this attempt is moot.
-    TryDispatch();
-    return;
-  }
   if (zombie_attempt && attempt_observer_) {
     // Zombie attempts are the error evidence the gray detector keys on: a
     // dead SoC stops heartbeating, a zombie only stops serving.
@@ -448,21 +368,6 @@ void SocServingFleet::FinishOn(int soc_index, RequestPtr request, int attempt,
   }
   if (alive && !zombie_attempt) {
     Complete(soc_index, request);
-  } else if (backoff_ != nullptr && backoff_->ShouldRetry(request->attempts) &&
-             (budget_ == nullptr || budget_->TryWithdraw())) {
-    ++retries_;
-    retries_metric_->Increment();
-    TraceRequestRetry(&sim_->tracer(), &request->ctx, sim_->Now(),
-                      SocTrack(soc_index));
-    request->active_attempt = 0;
-    sim_->ScheduleAfter(
-        backoff_->BackoffFor(request->attempts),
-        [this, request]() mutable {
-          if (!request->done) {
-            Requeue(std::move(request));
-          }
-        },
-        "dl.serving.retry_wait", event_anchor_);
   } else {
     Abandon(request);
   }
@@ -568,8 +473,6 @@ void SocServingFleet::DigestState(StateDigest& digest) const {
   digest.Mix(shed_);
   digest.Mix(deadline_expired_);
   digest.Mix(failed_);
-  digest.Mix(retries_);
-  digest.Mix(hedges_);
   for (size_t i = 0; i < kNumPriorities; ++i) {
     digest.Mix(completed_of_[i]);
     digest.Mix(shed_of_[i]);
@@ -584,15 +487,7 @@ void SocServingFleet::DigestState(StateDigest& digest) const {
   digest.Mix(latency_includes_response_);
   digest.Mix(dispatch_limit_);
   digest.Mix(in_flight_);
-  digest.Mix(hedge_delay_.nanos());
   digest.Mix(next_request_id_);
-  if (backoff_ != nullptr) {
-    digest.Mix(backoff_->RngFingerprint());
-  }
-  if (budget_ != nullptr) {
-    digest.Mix(budget_->tokens());
-    digest.Mix(budget_->denied());
-  }
 }
 
 }  // namespace soccluster

@@ -15,7 +15,6 @@
 
 #include "src/base/client.h"
 #include "src/base/priority.h"
-#include "src/base/retry.h"
 #include "src/base/stats.h"
 #include "src/cluster/cluster.h"
 #include "src/hw/gpu.h"
@@ -43,17 +42,13 @@ namespace soccluster {
 // per-service circuit breaker (SetBreaker) fast-fails non-critical
 // submissions while the service is overwhelmed.
 //
-// Request-level resilience, all opt-in:
-//   * SetDeadline — a request whose queueing delay already exceeds the
-//     deadline is dropped at dispatch time (doomed work is never started,
-//     counted under "dl.serving.expired" separately from shed);
-//   * SetRetryPolicy — a request whose serving SoC dies mid-inference is
-//     re-queued after an exponential, jittered backoff, gated by a retry
-//     budget so retries cannot amplify an outage into a storm;
-//   * EnableHedging — if the serving SoC has died by `hedge_delay` after
-//     dispatch, the request is rescued and re-queued immediately instead of
-//     waiting out the (never-arriving) completion.
-// A mid-flight SoC death is detected by comparing the SoC's fail_count()
+// A request is dispatched at most once. SetDeadline drops a request whose
+// queueing delay already exceeds the deadline at dispatch time (doomed work
+// is never started, counted under "dl.serving.expired" separately from
+// shed). A request whose serving SoC dies mid-inference ends as failed
+// (ClientOutcome::kFailed); retrying it is the client's decision — the
+// session tier's retry disciplines (src/trace/session.h) make it. A
+// mid-flight SoC death is detected by comparing the SoC's fail_count()
 // against a snapshot taken at dispatch — a fail/repair/reboot race cannot
 // masquerade as success.
 //
@@ -116,13 +111,6 @@ class SocServingFleet {
   // (default) disables; the breaker is fed successes on completion and
   // failures on abandonment and queue-pressure sheds.
   void SetBreaker(CircuitBreaker* breaker) { breaker_ = breaker; }
-  // Retry requests that die with their SoC, paced by `policy` with
-  // deterministic jitter from `seed`. A retry budget (SetRetryBudget)
-  // bounds amplification; without one, retries are unlimited.
-  void SetRetryPolicy(RetryPolicy policy, uint64_t seed);
-  void SetRetryBudget(double tokens_per_success, double max_tokens);
-  // Rescue requests whose SoC has died by `hedge_delay` after dispatch.
-  void EnableHedging(Duration hedge_delay);
 
   void Submit() { Submit(Priority::kStandard); }
   void Submit(Priority priority) { Submit(priority, ClientAttribution{}); }
@@ -146,21 +134,18 @@ class SocServingFleet {
   // session runs disable them and read the sketch-backed registry
   // histogram instead. On by default.
   void SetExactLatencySamples(bool exact) { exact_latency_samples_ = exact; }
-  // Seq-anchors the fleet's internal event chains (inference completions,
-  // hedge checks, retry requeues) into `group`. An open-loop session tier
-  // quantizes submissions onto its wheel grid, which makes equal-timestamp
-  // collisions between tier events and deterministic-latency completions
-  // systematic; sharing the tier's group (SessionTier::anchor_group) pins
-  // the admission pipeline's order under tie-break perturbation. Zero
-  // (default) leaves the events unanchored.
+  // Seq-anchors the fleet's inference-completion events into `group`. An
+  // open-loop session tier quantizes submissions onto its wheel grid, which
+  // makes equal-timestamp collisions between tier events and
+  // deterministic-latency completions systematic; sharing the tier's group
+  // (SessionTier::anchor_group) pins the admission pipeline's order under
+  // tie-break perturbation. Zero (default) leaves the events unanchored.
   void SetEventAnchorGroup(uint64_t group) { event_anchor_ = group; }
 
   int64_t completed() const { return completed_; }
   int64_t shed() const { return shed_; }
   int64_t deadline_expired() const { return deadline_expired_; }
   int64_t failed() const { return failed_; }
-  int64_t retries() const { return retries_; }
-  int64_t hedges() const { return hedges_; }
   int queue_length() const { return admission_.size(); }
   const SampleStats& latencies() const { return latencies_; }
   // Per-class views of the same accounting.
@@ -184,21 +169,17 @@ class SocServingFleet {
   SloTracker* slo_of(Priority p) { return slos_[static_cast<size_t>(p)]; }
 
   // Mixes the ledgers, admission queue, request accounting (per class),
-  // the full latency sample sequence, and the retry jitter stream.
+  // and the full latency sample sequence.
   void DigestState(StateDigest& digest) const;
 
  private:
   struct RequestState {
     SimTime enqueue;
-    SimTime attempt_start;  // Dispatch time of the active attempt.
+    SimTime attempt_start;  // Dispatch time.
     Priority priority = Priority::kStandard;
-    Duration deadline;  // Snapshot of the fleet deadline at Submit.
     uint64_t request_id = 0;
     SpanId request_span = 0;
     SpanId queue_span = 0;
-    int attempts = 0;        // Dispatch attempts started.
-    int active_attempt = 0;  // 0 when queued; else the in-flight attempt.
-    bool done = false;
     // Client attribution (ticket 0 = unattributed legacy submission).
     ClientAttribution client;
     // Causal-trace context (observers-only; never digested).
@@ -214,18 +195,13 @@ class SocServingFleet {
   void OnAdmissionDrop(const AdmissionQueue::Item& item,
                        AdmissionQueue::DropReason reason);
   void TryDispatch();
-  void FinishOn(int soc_index, RequestPtr request, int attempt,
-                int64_t fail_epoch, double cpu_grant, SpanId infer_track_span,
-                SpanId infer_span);
-  void HedgeCheck(int soc_index, RequestPtr request, int attempt,
-                  int64_t fail_epoch);
-  // Re-queues a not-yet-done request (retry or hedge rescue).
-  void Requeue(RequestPtr request);
+  void FinishOn(int soc_index, RequestPtr request, int64_t fail_epoch,
+                double cpu_grant, SpanId infer_track_span, SpanId infer_span);
   void Complete(int soc_index, const RequestPtr& request);
   // Latency accounting for a completed request (stats, SLO, evidence);
   // runs at inference end or response delivery per the latency mode.
   void RecordCompletion(int soc_index, const RequestPtr& request);
-  // Gives up on the request (no retry possible).
+  // Ends a request whose SoC died under it (or came back broken) as failed.
   void Abandon(const RequestPtr& request);
   // Reports a terminal outcome to the client observer (at most once per
   // attributed request; observers-only, never digested).
@@ -249,8 +225,6 @@ class SocServingFleet {
   int64_t shed_ = 0;
   int64_t deadline_expired_ = 0;
   int64_t failed_ = 0;
-  int64_t retries_ = 0;
-  int64_t hedges_ = 0;
   std::array<int64_t, kNumPriorities> completed_of_{};
   std::array<int64_t, kNumPriorities> shed_of_{};
   std::array<int64_t, kNumPriorities> expired_of_{};
@@ -266,17 +240,12 @@ class SocServingFleet {
   Duration deadline_;       // Zero: none.
   int dispatch_limit_ = 0;  // Zero: unbounded.
   int in_flight_ = 0;       // Requests currently holding an engine slot.
-  Duration hedge_delay_;    // Zero: hedging off.
-  std::unique_ptr<RetryBackoff> backoff_;  // Null: retries off.
-  std::unique_ptr<RetryBudget> budget_;    // Null: unlimited retries.
   uint64_t next_request_id_ = 1;
   Counter* submitted_metric_;
   Counter* completed_metric_;
   Counter* shed_metric_;
   Counter* expired_metric_;
   Counter* failed_metric_;
-  Counter* retries_metric_;
-  Counter* hedges_metric_;
   HistogramMetric* latency_metric_;
   Gauge* max_queue_metric_;
   std::array<SloTracker*, kNumPriorities> slos_{};

@@ -1,6 +1,10 @@
-// Request-level resilience tests: load shedding, deadlines, retries, and
-// hedging in the serving fleet; mid-pipeline failover in collaborative
+// Request-level resilience tests: load shedding, deadlines, and mid-flight
+// SoC death in the serving fleet; mid-pipeline failover in collaborative
 // inference; and the bitrate-ladder degradation path in live transcoding.
+
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "src/cluster/cluster.h"
@@ -61,77 +65,29 @@ TEST_F(ServingResilienceTest, DeadlineDropsStaleRequests) {
   EXPECT_LT(fleet.completed(), 10);
 }
 
-TEST_F(ServingResilienceTest, RetryRecoversFromMidFlightSocDeath) {
-  Boot();
-  SocServingFleet fleet(&sim_, &cluster_, DlDevice::kSocGpu,
-                        DnnModel::kResNet50, Precision::kFp32);
-  fleet.SetActiveCount(2);
-  RetryPolicy policy;
-  policy.max_attempts = 4;
-  policy.initial_backoff = Duration::Millis(1);
-  fleet.SetRetryPolicy(policy, /*seed=*/5);
-  fleet.Submit();  // Dispatches onto SoC 0.
-  sim_.ScheduleAfter(ServiceTime(fleet) * 0.5,
-                     [this] { cluster_.soc(0).Fail(); });
-  ASSERT_TRUE(sim_.RunFor(Duration::Seconds(5)).ok());
-  // The first attempt died with its SoC; the retry landed on SoC 1.
-  EXPECT_EQ(fleet.retries(), 1);
-  EXPECT_EQ(fleet.completed(), 1);
-  EXPECT_EQ(fleet.failed(), 0);
-}
-
 TEST_F(ServingResilienceTest, WithoutRetryTheRequestIsLost) {
   Boot();
   SocServingFleet fleet(&sim_, &cluster_, DlDevice::kSocGpu,
                         DnnModel::kResNet50, Precision::kFp32);
   fleet.SetActiveCount(2);
-  fleet.Submit();
+  std::vector<std::pair<uint64_t, ClientOutcome>> outcomes;
+  fleet.SetClientObserver(
+      [&outcomes](uint64_t ticket, ClientOutcome outcome, Duration) {
+        outcomes.emplace_back(ticket, outcome);
+      });
+  ClientAttribution client;
+  client.ticket = 77;
+  fleet.Submit(Priority::kStandard, client);  // Dispatches onto SoC 0.
   sim_.ScheduleAfter(ServiceTime(fleet) * 0.5,
                      [this] { cluster_.soc(0).Fail(); });
   ASSERT_TRUE(sim_.RunFor(Duration::Seconds(5)).ok());
+  // The fleet never retries: the SoC's death ends the request, and the
+  // client hears exactly one failure under its own ticket.
   EXPECT_EQ(fleet.failed(), 1);
   EXPECT_EQ(fleet.completed(), 0);
-  EXPECT_EQ(fleet.retries(), 0);
-}
-
-TEST_F(ServingResilienceTest, ExhaustedRetryBudgetDeniesRetries) {
-  Boot();
-  SocServingFleet fleet(&sim_, &cluster_, DlDevice::kSocGpu,
-                        DnnModel::kResNet50, Precision::kFp32);
-  fleet.SetActiveCount(3);
-  RetryPolicy policy;
-  policy.max_attempts = 4;
-  policy.initial_backoff = Duration::Millis(1);
-  fleet.SetRetryPolicy(policy, /*seed=*/5);
-  // One token, never refilled: the first retry spends it, the second is
-  // denied and the request fails despite attempts remaining.
-  fleet.SetRetryBudget(/*tokens_per_success=*/0.0, /*max_tokens=*/1.0);
-  fleet.Submit();
-  const Duration service = ServiceTime(fleet);
-  sim_.ScheduleAfter(service * 0.5, [this] { cluster_.soc(0).Fail(); });
-  sim_.ScheduleAfter(service * 1.6, [this] { cluster_.soc(1).Fail(); });
-  ASSERT_TRUE(sim_.RunFor(Duration::Seconds(5)).ok());
-  EXPECT_EQ(fleet.retries(), 1);
-  EXPECT_EQ(fleet.failed(), 1);
-  EXPECT_EQ(fleet.completed(), 0);
-}
-
-TEST_F(ServingResilienceTest, HedgeRescuesBeforeCompletionWouldArrive) {
-  Boot();
-  SocServingFleet fleet(&sim_, &cluster_, DlDevice::kSocGpu,
-                        DnnModel::kResNet50, Precision::kFp32);
-  fleet.SetActiveCount(2);
-  const Duration service = ServiceTime(fleet);
-  fleet.EnableHedging(service * 0.5);
-  fleet.Submit();
-  // The SoC dies early; the hedge check at half service notices and
-  // re-queues long before the never-arriving completion.
-  sim_.ScheduleAfter(service * 0.25, [this] { cluster_.soc(0).Fail(); });
-  ASSERT_TRUE(sim_.RunFor(Duration::Seconds(5)).ok());
-  EXPECT_EQ(fleet.hedges(), 1);
-  EXPECT_EQ(fleet.completed(), 1);
-  EXPECT_EQ(fleet.failed(), 0);
-  EXPECT_EQ(fleet.retries(), 0);  // Hedges spend no retry budget.
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_EQ(outcomes[0].first, 77u);
+  EXPECT_EQ(outcomes[0].second, ClientOutcome::kFailed);
 }
 
 TEST_F(ServingResilienceTest, ThrottledSocServesProportionallySlower) {
