@@ -23,23 +23,10 @@ SloTracker::SloTracker(SloSpec spec) : spec_(std::move(spec)) {
   ring_.resize(static_cast<size_t>(spec_.buckets) + 1);
 }
 
-SloTracker::Bucket* SloTracker::BucketFor(SimTime now) {
-  const int64_t epoch = now.nanos() / bucket_width_.nanos();
-  Bucket& slot = ring_[static_cast<size_t>(epoch % static_cast<int64_t>(
-      ring_.size()))];
-  if (slot.epoch != epoch) {
-    slot.epoch = epoch;
-    slot.good = 0;
-    slot.bad = 0;
-  }
-  return &slot;
-}
-
-void SloTracker::WindowCounts(SimTime now, Duration window, int64_t* good,
-                              int64_t* bad) const {
-  *good = 0;
-  *bad = 0;
-  const int64_t epoch_now = now.nanos() / bucket_width_.nanos();
+SloTracker::Counts SloTracker::WindowCounts(SimTime now,
+                                            Duration window) const {
+  Counts counts;
+  const int64_t epoch_now = EpochOf(now);
   int64_t span = window.nanos() / bucket_width_.nanos();
   if (span < 1) {
     span = 1;
@@ -47,41 +34,72 @@ void SloTracker::WindowCounts(SimTime now, Duration window, int64_t* good,
   const int64_t oldest = epoch_now - span + 1;
   for (const Bucket& slot : ring_) {
     if (slot.epoch >= oldest && slot.epoch <= epoch_now) {
-      *good += slot.good;
-      *bad += slot.bad;
+      counts.good += slot.good;
+      counts.bad += slot.bad;
     }
   }
+  return counts;
 }
 
-double SloTracker::BurnRate(SimTime now, Duration window) const {
-  int64_t good = 0;
-  int64_t bad = 0;
-  WindowCounts(now, window, &good, &bad);
-  const int64_t total = good + bad;
+double SloTracker::Burn(Counts counts) const {
+  const int64_t total = counts.good + counts.bad;
   if (total == 0) {
     return 0.0;
   }
   const double bad_fraction =
-      static_cast<double>(bad) / static_cast<double>(total);
+      static_cast<double>(counts.bad) / static_cast<double>(total);
   const double error_budget = 1.0 - spec_.objective;
   return bad_fraction / error_budget;
 }
 
+double SloTracker::BurnRate(SimTime now, Duration window) const {
+  return Burn(WindowCounts(now, window));
+}
+
 void SloTracker::Record(SimTime now, bool good) {
-  Bucket* slot = BucketFor(now);
+  const int64_t epoch = EpochOf(now);
+  Bucket& slot = ring_[static_cast<size_t>(epoch % static_cast<int64_t>(
+      ring_.size()))];
+  if (slot.epoch != epoch) {
+    // Recycling a slot may drop a bucket that a cached window still counts.
+    slot = Bucket{epoch, 0, 0};
+    cache_epoch_ = -1;
+  } else if (epoch != cache_epoch_) {
+    cache_epoch_ = -1;
+  }
+  // Both windows end in the current epoch, so a valid cache counts the
+  // outcome in both sums.
+  const bool cached = cache_epoch_ >= 0;
   if (good) {
-    ++slot->good;
+    ++slot.good;
     ++good_total_;
+    if (cached) {
+      ++fast_.good;
+      ++slow_.good;
+    }
   } else {
-    ++slot->bad;
+    ++slot.bad;
     ++bad_total_;
+    if (cached) {
+      ++fast_.bad;
+      ++slow_.bad;
+    }
   }
   Advance(now);
 }
 
 void SloTracker::Advance(SimTime now) {
-  const double fast = BurnRate(now, spec_.fast_window);
-  const double slow = BurnRate(now, spec_.slow_window);
+  const int64_t epoch = EpochOf(now);
+  if (epoch != cache_epoch_) {
+    fast_ = WindowCounts(now, spec_.fast_window);
+    slow_ = WindowCounts(now, spec_.slow_window);
+    cache_epoch_ = epoch;
+  }
+  SOC_DCHECK(fast_ == WindowCounts(now, spec_.fast_window) &&
+             slow_ == WindowCounts(now, spec_.slow_window))
+      << "cached SLO window sums diverged from the ring: " << spec_.name;
+  const double fast = Burn(fast_);
+  const double slow = Burn(slow_);
   const bool over = fast >= spec_.burn_threshold && slow >= spec_.burn_threshold;
   const bool under = fast < spec_.burn_threshold && slow < spec_.burn_threshold;
   if (!firing_ && over) {

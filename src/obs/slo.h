@@ -13,6 +13,17 @@
 // both drop below. Fire/clear transitions are appended to a deterministic
 // history that benches export as the machine-readable alert timeline.
 //
+// Cost: Record() is O(1). The tracker caches the fast- and slow-window
+// (good, bad) sums for one bucket epoch. Invariant: while the cache is
+// valid, its sums equal WindowCounts() over the two windows ending in
+// `cache_epoch_`. A Record into that epoch whose bucket already holds the
+// epoch increments the bucket and both cached sums in place; a Record into
+// any other epoch, or one that recycles a ring slot, invalidates the cache.
+// Advance() rescans the ring only when the cache is invalid or `now` lies
+// in another epoch, and derives burn from the sums with BurnRate()'s
+// formula, so the alert timeline is bit-identical to rescanning on every
+// call. Debug builds cross-check the cache against a rescan in Advance().
+//
 // Determinism contract: the engine is record-driven — Record() is called
 // from request completion paths and Advance() from bench/test code; the
 // engine never schedules simulator events, allocates ids, or otherwise
@@ -101,14 +112,27 @@ class SloTracker {
     int64_t good = 0;
     int64_t bad = 0;
   };
+  // (good, bad) totals of one window.
+  struct Counts {
+    int64_t good = 0;
+    int64_t bad = 0;
+    bool operator==(const Counts&) const = default;
+  };
   // Sums (good, bad) over the trailing `window` ending at `now`.
-  void WindowCounts(SimTime now, Duration window, int64_t* good,
-                    int64_t* bad) const;
-  Bucket* BucketFor(SimTime now);
+  Counts WindowCounts(SimTime now, Duration window) const;
+  // burn = bad_fraction / error_budget; 0 for an empty window.
+  double Burn(Counts counts) const;
+  int64_t EpochOf(SimTime now) const {
+    return now.nanos() / bucket_width_.nanos();
+  }
 
   SloSpec spec_;
   Duration bucket_width_;
   std::vector<Bucket> ring_;
+  // Window sums at `cache_epoch_`; -1 = invalid (see the header comment).
+  int64_t cache_epoch_ = -1;
+  Counts fast_;
+  Counts slow_;
   int64_t good_total_ = 0;
   int64_t bad_total_ = 0;
   bool firing_ = false;

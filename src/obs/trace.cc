@@ -41,10 +41,7 @@ SpanId Tracer::BeginAsyncSpan(std::string_view name, std::string_view category,
   return id;
 }
 
-void Tracer::EndSpan(SpanId id) {
-  if (id == 0) {
-    return;
-  }
+void Tracer::CloseSpan(SpanId id) {
   SOC_CHECK_LE(id, spans_.size()) << "unknown span id";
   TraceSpan& span = spans_[id - 1];
   SOC_CHECK(span.open) << "span '" << span.name << "' ended twice";
@@ -94,9 +91,6 @@ void Tracer::Instant(std::string_view name, std::string_view category,
 
 void Tracer::AddFlow(std::string_view name, std::string_view category,
                      uint64_t flow_id, int64_t track, TraceFlow::Phase phase) {
-  if (!enabled_) {
-    return;
-  }
   SOC_DCHECK(flow_id != 0) << "flow points need a nonzero id";
   if (Full()) {
     ++dropped_spans_;
@@ -110,21 +104,6 @@ void Tracer::AddFlow(std::string_view name, std::string_view category,
   flow.phase = phase;
   flow.time = NowForSpan();
   flows_.push_back(std::move(flow));
-}
-
-void Tracer::FlowBegin(std::string_view name, std::string_view category,
-                       uint64_t flow_id, int64_t track) {
-  AddFlow(name, category, flow_id, track, TraceFlow::Phase::kBegin);
-}
-
-void Tracer::FlowStep(std::string_view name, std::string_view category,
-                      uint64_t flow_id, int64_t track) {
-  AddFlow(name, category, flow_id, track, TraceFlow::Phase::kStep);
-}
-
-void Tracer::FlowEnd(std::string_view name, std::string_view category,
-                     uint64_t flow_id, int64_t track) {
-  AddFlow(name, category, flow_id, track, TraceFlow::Phase::kEnd);
 }
 
 void Tracer::SetTrackName(int64_t track, std::string_view name) {

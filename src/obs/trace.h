@@ -15,6 +15,8 @@
 // (the default), every call is an early-returning no-op that allocates
 // nothing; span ids handed out while disabled are 0 and all operations on
 // id 0 are no-ops, so instrumentation never needs its own `if (enabled)`.
+// The per-request calls (EndSpan, FlowBegin/FlowStep/FlowEnd) test that
+// in the header, so on a disabled tracer they cost one branch and no call.
 //
 // The span store is bounded (set_max_spans); once full, new spans are
 // dropped and counted rather than growing without limit.
@@ -95,7 +97,11 @@ class Tracer {
   SpanId BeginAsyncSpan(std::string_view name, std::string_view category,
                         uint64_t async_id, SpanId parent = 0);
   // Closes a span at the current sim time. No-op for id 0.
-  void EndSpan(SpanId id);
+  void EndSpan(SpanId id) {
+    if (id != 0) {
+      CloseSpan(id);
+    }
+  }
   // Attaches a key/value annotation. No-op for id 0.
   void AddArg(SpanId id, std::string_view key, std::string_view value);
   void AddArg(SpanId id, std::string_view key, double value);
@@ -109,11 +115,23 @@ class Tracer {
   // reusing (category, flow_id); begin once, step at each hop, end at the
   // terminal event. Flows share the span cap and the dropped counter.
   void FlowBegin(std::string_view name, std::string_view category,
-                 uint64_t flow_id, int64_t track = 0);
+                 uint64_t flow_id, int64_t track = 0) {
+    if (enabled_) {
+      AddFlow(name, category, flow_id, track, TraceFlow::Phase::kBegin);
+    }
+  }
   void FlowStep(std::string_view name, std::string_view category,
-                uint64_t flow_id, int64_t track = 0);
+                uint64_t flow_id, int64_t track = 0) {
+    if (enabled_) {
+      AddFlow(name, category, flow_id, track, TraceFlow::Phase::kStep);
+    }
+  }
   void FlowEnd(std::string_view name, std::string_view category,
-               uint64_t flow_id, int64_t track = 0);
+               uint64_t flow_id, int64_t track = 0) {
+    if (enabled_) {
+      AddFlow(name, category, flow_id, track, TraceFlow::Phase::kEnd);
+    }
+  }
 
   // Names a synchronous track in the exported trace (e.g. track 7 -> "soc07").
   void SetTrackName(int64_t track, std::string_view name);
@@ -135,6 +153,8 @@ class Tracer {
   bool Full() const {
     return spans_.size() + instants_.size() + flows_.size() >= max_spans_;
   }
+  // Out-of-line halves of the inline early-outs above.
+  void CloseSpan(SpanId id);
   void AddFlow(std::string_view name, std::string_view category,
                uint64_t flow_id, int64_t track, TraceFlow::Phase phase);
 

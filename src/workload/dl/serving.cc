@@ -151,6 +151,7 @@ void SocServingFleet::Submit(Priority priority,
     ++shed_;
     ++shed_of_[static_cast<size_t>(priority)];
     shed_metric_->Increment();
+    slos_[static_cast<size_t>(priority)]->Record(sim_->Now(), false);
     if (client_observer_ && client.attributed()) {
       client_observer_(client.ticket, ClientOutcome::kShed, Duration::Zero());
     }

@@ -106,7 +106,8 @@ class SocServingFleet {
   // Zero (default) disables.
   void SetDispatchLimit(int limit);
   // Fast-fails non-critical Submit() calls while `breaker` is open (shed
-  // at the door, counted per class). Critical traffic bypasses the breaker
+  // at the door, counted per class and recorded as a bad SLO event, like
+  // every other shed). Critical traffic bypasses the breaker
   // — during a brownout the critical SLO outranks drain speed. Null
   // (default) disables; the breaker is fed successes on completion and
   // failures on abandonment and queue-pressure sheds.

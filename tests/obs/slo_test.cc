@@ -3,10 +3,15 @@
 
 #include "src/obs/slo.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "src/base/rng.h"
 
 namespace soccluster {
 namespace {
@@ -119,6 +124,152 @@ TEST(SloTrackerTest, RecordLatencyComparesAgainstThreshold) {
   tracker.RecordLatency(At(1.0), Duration::MillisF(1001));  // Bad.
   EXPECT_EQ(tracker.good_total(), 2);
   EXPECT_EQ(tracker.bad_total(), 1);
+}
+
+// The tracker's windowing before the sums were cached: the same ring, but
+// every Advance rescans it for both windows. SloTracker must reproduce its
+// alert timeline and burn rates exactly.
+class RescanningTracker {
+ public:
+  explicit RescanningTracker(const SloSpec& spec)
+      : spec_(spec),
+        width_(spec.slow_window.nanos() / spec.buckets),
+        ring_(static_cast<size_t>(spec.buckets) + 1) {}
+
+  void Record(SimTime now, bool good) {
+    const int64_t epoch = now.nanos() / width_;
+    Bucket& slot = ring_[static_cast<size_t>(
+        epoch % static_cast<int64_t>(ring_.size()))];
+    if (slot.epoch != epoch) {
+      slot = Bucket{epoch, 0, 0};
+    }
+    ++(good ? slot.good : slot.bad);
+    Advance(now);
+  }
+
+  void Advance(SimTime now) {
+    const double fast = BurnRate(now, spec_.fast_window);
+    const double slow = BurnRate(now, spec_.slow_window);
+    const double limit = spec_.burn_threshold;
+    if (!firing_ && fast >= limit && slow >= limit) {
+      firing_ = true;
+      alerts_.push_back(SloAlert{now, true, fast, slow});
+    } else if (firing_ && fast < limit && slow < limit) {
+      firing_ = false;
+      alerts_.push_back(SloAlert{now, false, fast, slow});
+    }
+  }
+
+  double BurnRate(SimTime now, Duration window) const {
+    const int64_t epoch_now = now.nanos() / width_;
+    const int64_t span = std::max<int64_t>(window.nanos() / width_, 1);
+    int64_t good = 0;
+    int64_t bad = 0;
+    for (const Bucket& slot : ring_) {
+      if (slot.epoch > epoch_now - span && slot.epoch <= epoch_now) {
+        good += slot.good;
+        bad += slot.bad;
+      }
+    }
+    if (good + bad == 0) {
+      return 0.0;
+    }
+    return (static_cast<double>(bad) / static_cast<double>(good + bad)) /
+           (1.0 - spec_.objective);
+  }
+
+  const std::vector<SloAlert>& alerts() const { return alerts_; }
+
+ private:
+  struct Bucket {
+    int64_t epoch = -1;
+    int64_t good = 0;
+    int64_t bad = 0;
+  };
+  SloSpec spec_;
+  int64_t width_;
+  std::vector<Bucket> ring_;
+  bool firing_ = false;
+  std::vector<SloAlert> alerts_;
+};
+
+// Drives both trackers through one random Record/Advance sequence with
+// non-decreasing time, mixing the step kinds that stress the cache:
+// same-epoch bursts, one-bucket steps, gaps longer than the ring,
+// Advance-only stretches, and repeated calls at one instant.
+void ExpectMatchesRescan(const SloSpec& spec, uint64_t seed) {
+  SloTracker tracker(spec);
+  RescanningTracker reference(spec);
+  Rng rng(seed);
+  const int64_t width = spec.slow_window.nanos() / spec.buckets;
+  int64_t now_ns = 0;
+  // Error phases long enough to fire, so the timeline is not empty.
+  double bad_share = 0.0;
+  for (int op = 0; op < 20000; ++op) {
+    if (op % 500 == 0) {
+      bad_share = rng.Bernoulli(0.5) ? rng.Uniform(0.05, 0.9) : 0.0;
+    }
+    switch (rng.UniformInt(0, 9)) {
+      case 0:
+        break;  // Same instant.
+      case 1:
+        now_ns += width;  // Exactly one bucket on.
+        break;
+      case 2:
+        now_ns += spec.slow_window.nanos() * rng.UniformInt(2, 4);
+        break;  // Past the whole ring.
+      default:
+        now_ns += rng.UniformInt(0, width / 4);  // Mostly same epoch.
+        break;
+    }
+    const SimTime now = SimTime::FromNanos(now_ns);
+    const int64_t calls = rng.UniformInt(1, 6);
+    const bool advance_only = rng.Bernoulli(0.15);
+    for (int64_t c = 0; c < calls; ++c) {
+      if (advance_only) {
+        tracker.Advance(now);
+        reference.Advance(now);
+      } else {
+        const bool good = !rng.Bernoulli(bad_share);
+        tracker.Record(now, good);
+        reference.Record(now, good);
+      }
+    }
+    ASSERT_EQ(tracker.BurnRate(now, spec.fast_window),
+              reference.BurnRate(now, spec.fast_window))
+        << "seed " << seed << " op " << op;
+    ASSERT_EQ(tracker.BurnRate(now, spec.slow_window),
+              reference.BurnRate(now, spec.slow_window))
+        << "seed " << seed << " op " << op;
+  }
+  const std::vector<SloAlert>& got = tracker.alerts();
+  const std::vector<SloAlert>& want = reference.alerts();
+  EXPECT_GE(want.size(), 2u) << "seed " << seed << " never fired and cleared";
+  ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].time, want[i].time) << "seed " << seed << " alert " << i;
+    EXPECT_EQ(got[i].firing, want[i].firing) << "seed " << seed;
+    EXPECT_EQ(got[i].fast_burn, want[i].fast_burn) << "seed " << seed;
+    EXPECT_EQ(got[i].slow_burn, want[i].slow_burn) << "seed " << seed;
+  }
+}
+
+TEST(SloTrackerTest, CachedWindowsMatchFullRescan) {
+  for (uint64_t seed : {1u, 2u, 3u, 7u, 42u, 99u}) {
+    ExpectMatchesRescan(TestSpec(), seed);
+  }
+}
+
+TEST(SloTrackerTest, CachedWindowsMatchRescanWhenTheSlowWindowOutrunsTheRing) {
+  // 100 ns over 60 buckets floors to 1-ns buckets: the slow window spans
+  // 100 buckets of a 61-slot ring, so filling a slot recycles one that is
+  // still inside the window.
+  SloSpec spec = TestSpec();
+  spec.fast_window = Duration::Nanos(30);
+  spec.slow_window = Duration::Nanos(100);
+  for (uint64_t seed : {1u, 2u, 3u, 7u, 42u, 99u}) {
+    ExpectMatchesRescan(spec, seed);
+  }
 }
 
 TEST(SloEngineTest, RegisterDeduplicatesByName) {

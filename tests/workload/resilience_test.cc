@@ -9,6 +9,8 @@
 #include "gtest/gtest.h"
 #include "src/cluster/cluster.h"
 #include "src/hw/specs.h"
+#include "src/obs/slo.h"
+#include "src/qos/breaker.h"
 #include "src/workload/dl/collab.h"
 #include "src/workload/dl/serving.h"
 #include "src/workload/video/live.h"
@@ -88,6 +90,35 @@ TEST_F(ServingResilienceTest, WithoutRetryTheRequestIsLost) {
   ASSERT_EQ(outcomes.size(), 1u);
   EXPECT_EQ(outcomes[0].first, 77u);
   EXPECT_EQ(outcomes[0].second, ClientOutcome::kFailed);
+}
+
+TEST_F(ServingResilienceTest, BreakerDoorShedCountsAgainstTheSlo) {
+  Boot();
+  SocServingFleet fleet(&sim_, &cluster_, DlDevice::kSocGpu,
+                        DnnModel::kResNet50, Precision::kFp32);
+  fleet.SetActiveCount(1);
+  CircuitBreakerConfig config;
+  config.service = "test.serving";
+  config.min_samples = 4;
+  config.open_duration = Duration::Minutes(1);
+  CircuitBreaker breaker(&sim_, config);
+  for (int i = 0; i < 4; ++i) {
+    breaker.RecordFailure();
+  }
+  ASSERT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
+  fleet.SetBreaker(&breaker);
+  SloTracker* standard = fleet.slo_of(Priority::kStandard);
+  const int64_t bad_before = standard->bad_total();
+  fleet.Submit(Priority::kStandard);
+  // Shed at the door, and that shed is a bad event like any other shed.
+  EXPECT_EQ(fleet.shed(), 1);
+  EXPECT_EQ(standard->bad_total(), bad_before + 1);
+  EXPECT_EQ(standard->good_total(), 0);
+  // Critical traffic bypasses the breaker and records nothing at the door.
+  SloTracker* critical = fleet.slo_of(Priority::kCritical);
+  fleet.Submit(Priority::kCritical);
+  EXPECT_EQ(fleet.shed(), 1);
+  EXPECT_EQ(critical->bad_total(), 0);
 }
 
 TEST_F(ServingResilienceTest, ThrottledSocServesProportionallySlower) {
