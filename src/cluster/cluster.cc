@@ -46,18 +46,6 @@ SocCluster::SocCluster(Simulator* sim, ClusterChassisSpec chassis,
   overhead_meter_.SetPower(sim_->Now(), OverheadPower());
 }
 
-SocModel& SocCluster::soc(int i) {
-  SOC_CHECK_GE(i, 0);
-  SOC_CHECK_LT(i, num_socs());
-  return *socs_[static_cast<size_t>(i)];
-}
-
-const SocModel& SocCluster::soc(int i) const {
-  SOC_CHECK_GE(i, 0);
-  SOC_CHECK_LT(i, num_socs());
-  return *socs_[static_cast<size_t>(i)];
-}
-
 int SocCluster::PcbOf(int soc_index) const {
   SOC_CHECK_GE(soc_index, 0);
   SOC_CHECK_LT(soc_index, num_socs());

@@ -9,6 +9,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/base/check.h"
 #include "src/base/digest.h"
 #include "src/hw/power.h"
 #include "src/hw/soc.h"
@@ -32,8 +33,19 @@ class SocCluster {
   const ClusterChassisSpec& chassis() const { return chassis_; }
   int num_socs() const { return chassis_.num_socs; }
 
-  SocModel& soc(int i);
-  const SocModel& soc(int i) const;
+  // Forced inline: every placement candidate and every Placer::Load() goes
+  // through here, and the CHECKs' cold logging path would otherwise keep
+  // the compiler from inlining an accessor this small.
+  [[gnu::always_inline]] SocModel& soc(int i) {
+    SOC_CHECK_GE(i, 0);
+    SOC_CHECK_LT(i, num_socs());
+    return *socs_[static_cast<size_t>(i)];
+  }
+  [[gnu::always_inline]] const SocModel& soc(int i) const {
+    SOC_CHECK_GE(i, 0);
+    SOC_CHECK_LT(i, num_socs());
+    return *socs_[static_cast<size_t>(i)];
+  }
   // PCB index hosting SoC `i` (five SoCs per PCB).
   int PcbOf(int soc_index) const;
 

@@ -12,9 +12,23 @@ SocCapacityView::SocCapacityView(SocCluster* cluster)
 SocCapacityView::SocCapacityView(SocCluster* cluster, Options options)
     : cluster_(cluster), options_(options),
       memory_used_gb_(static_cast<size_t>(cluster->num_socs()), 0.0),
-      slots_used_(static_cast<size_t>(cluster->num_socs()), 0) {
+      slots_used_(static_cast<size_t>(cluster->num_socs()), 0),
+      free_slots_((static_cast<size_t>(cluster->num_socs()) + 63) / 64, 0) {
   SOC_CHECK(cluster_ != nullptr);
   SOC_CHECK_GE(options_.slot_capacity, 0);
+  for (int i = 0; i < num_socs(); ++i) {
+    UpdateFreeSlotBit(i);
+  }
+}
+
+void SocCapacityView::UpdateFreeSlotBit(int soc_index) {
+  uint64_t& word = free_slots_[static_cast<size_t>(soc_index) / 64];
+  const uint64_t bit = uint64_t{1} << (soc_index % 64);
+  if (slots_used_[static_cast<size_t>(soc_index)] < options_.slot_capacity) {
+    word |= bit;
+  } else {
+    word &= ~bit;
+  }
 }
 
 int SocCapacityView::num_socs() const { return cluster_->num_socs(); }
@@ -112,6 +126,7 @@ void SocCapacityView::Reserve(int soc_index, const PlacementDemand& d) {
   }
   memory_used_gb_[static_cast<size_t>(soc_index)] += d.memory_gb;
   slots_used_[static_cast<size_t>(soc_index)] += d.slots;
+  UpdateFreeSlotBit(soc_index);
 }
 
 void SocCapacityView::Release(int soc_index, const PlacementDemand& d) {
@@ -146,6 +161,7 @@ void SocCapacityView::Release(int soc_index, const PlacementDemand& d) {
   int& slots = slots_used_[static_cast<size_t>(soc_index)];
   slots -= d.slots;
   SOC_CHECK_GE(slots, 0) << "slot ledger underflow on SoC " << soc_index;
+  UpdateFreeSlotBit(soc_index);
 }
 
 void SocCapacityView::DigestState(StateDigest& digest) const {

@@ -5,10 +5,20 @@
 // — are ledgered here. Reserve() CHECK-fails on oversubscription, making
 // "a placement never overcommits a SoC" an enforced invariant instead of a
 // per-service convention.
+//
+// The slot ledger doubles as a placement index: a free-slot bitset, one
+// uint64_t word per 64 SoCs, with bit i set exactly when
+// SlotsUsed(i) < slot_capacity(). Reserve() and Release() are the only
+// writers of the slot ledger, so they alone keep the bitset current; no
+// SoC state change (failure, power, quarantine) touches it. A clear bit
+// proves that any demand asking for slots fails Fits() on that SoC, which
+// is all the Placer relies on when it enumerates set bits instead of
+// sweeping every SoC.
 
 #ifndef SRC_SCHED_CAPACITY_H_
 #define SRC_SCHED_CAPACITY_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "src/base/digest.h"
@@ -57,6 +67,11 @@ class SocCapacityView {
   double MemoryUsedGb(int soc_index) const;
   int SlotsUsed(int soc_index) const;
   int slot_capacity() const { return options_.slot_capacity; }
+  // Bit i of word i / 64 is set exactly when SlotsUsed(i) <
+  // slot_capacity(); bits at or past num_socs() are always clear.
+  const std::vector<uint64_t>& free_slot_words() const {
+    return free_slots_;
+  }
 
   const SocCluster& cluster() const { return *cluster_; }
 
@@ -65,10 +80,14 @@ class SocCapacityView {
   void DigestState(StateDigest& digest) const;
 
  private:
+  // Re-derives the SoC's free-slot bit from its slot ledger.
+  void UpdateFreeSlotBit(int soc_index);
+
   SocCluster* cluster_;
   Options options_;
   std::vector<double> memory_used_gb_;
   std::vector<int> slots_used_;
+  std::vector<uint64_t> free_slots_;
 };
 
 }  // namespace soccluster

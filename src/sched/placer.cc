@@ -1,6 +1,7 @@
 #include "src/sched/placer.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -24,6 +25,9 @@ const char* PlacementPolicyName(PlacementPolicy policy) {
 }
 
 void PlanOverlay::Add(int soc_index, const PlacementDemand& d) {
+  // A negative planned slot count would let an overlay re-open a SoC the
+  // free-slot index has already ruled out.
+  SOC_DCHECK_GE(d.slots, 0);
   PlacementDemand& extra = extra_[soc_index];
   extra.cpu_util += d.cpu_util;
   extra.memory_gb += d.memory_gb;
@@ -146,86 +150,152 @@ double Placer::DominantUtil(int soc_index, const PlacementDemand& d) const {
 }
 
 int Placer::Pick(const PlacementDemand& demand, const Filter& filter,
-                 const PlanOverlay* overlay, RequestContext* ctx) {
-  return PickWith([&demand](int) { return demand; }, filter, overlay, ctx);
+                 const PlanOverlay* overlay, RequestContext* ctx,
+                 int scan_bound) {
+  const int num_socs = view_->num_socs();
+  Scan scan;
+  scan.bound = scan_bound < 0 ? num_socs : std::min(scan_bound, num_socs);
+  // With no slot pool a slot demand must still reach Fits() and its CHECK.
+  scan.indexed = demand.slots > 0 && view_->slot_capacity() > 0;
+  return PickFrom(
+      [&demand](int) -> const PlacementDemand& { return demand; }, scan,
+      filter, overlay, ctx);
 }
 
 int Placer::PickWith(const DemandFn& demand_for, const Filter& filter,
                      const PlanOverlay* overlay, RequestContext* ctx) {
-  int picked = -1;
+  Scan scan;
+  scan.bound = view_->num_socs();
+  return PickFrom(demand_for, scan, filter, overlay, ctx);
+}
+
+template <typename Visit>
+void Placer::ForEachCandidate(Scan scan, Visit&& visit) const {
+  if (!scan.indexed) {
+    for (int i = 0; i < scan.bound; ++i) {
+      visit(i);
+    }
+    return;
+  }
+  const std::vector<uint64_t>& words = view_->free_slot_words();
+  for (int base = 0; base < scan.bound; base += 64) {
+    uint64_t bits = words[static_cast<size_t>(base / 64)];
+    if (scan.bound - base < 64) {
+      bits &= (uint64_t{1} << (scan.bound - base)) - 1;
+    }
+    while (bits != 0) {
+      visit(base + std::countr_zero(bits));
+      bits &= bits - 1;
+    }
+  }
+}
+
+template <typename DemandAt>
+int Placer::PickFrom(const DemandAt& demand_at, Scan scan,
+                     const Filter& filter, const PlanOverlay* overlay,
+                     RequestContext* ctx) {
+  // Debug builds check every indexed pick against the linear scan.
+  Scan linear = scan;
+  linear.indexed = false;
+  Choice choice;
   switch (options_.policy) {
     case PlacementPolicy::kSpread:
     case PlacementPolicy::kPack:
-      picked = PickLoadOrdered(demand_for, filter, overlay);
+      choice = ChooseLoadOrdered(demand_at, scan, filter, overlay);
+      SOC_DCHECK(!scan.indexed ||
+                 choice == ChooseLoadOrdered(demand_at, linear, filter,
+                                             overlay))
+          << "indexed load-ordered pick " << choice.soc_index
+          << " differs from the linear scan";
       break;
     case PlacementPolicy::kBestFit:
-      picked = PickBestFit(demand_for, filter, overlay);
+      choice = ChooseBestFit(demand_at, scan, filter, overlay);
+      SOC_DCHECK(!scan.indexed ||
+                 choice == ChooseBestFit(demand_at, linear, filter, overlay))
+          << "indexed best-fit pick " << choice.soc_index
+          << " differs from the linear scan";
       break;
-    case PlacementPolicy::kRandomOfK:
-      picked = PickRandomOfK(demand_for, filter, overlay);
+    case PlacementPolicy::kRandomOfK: {
+      std::vector<int> candidates =
+          FeasibleCandidates(demand_at, scan, filter, overlay);
+      SOC_DCHECK(!scan.indexed ||
+                 candidates ==
+                     FeasibleCandidates(demand_at, linear, filter, overlay))
+          << "indexed random-of-k candidates differ from the linear scan";
+      choice = ChooseRandomOfK(std::move(candidates));
       break;
+    }
   }
+  evaluations_metric_->Add(choice.evaluated);
+  const int picked = Finish(choice.soc_index);
   if (picked >= 0 && ctx != nullptr && ctx->id != 0) {
     sim_->tracer().FlowStep("place", ctx->category, ctx->id);
   }
   return picked;
 }
 
-int Placer::PickLoadOrdered(const DemandFn& demand_for, const Filter& filter,
-                            const PlanOverlay* overlay) {
-  int best = -1;
+template <typename DemandAt>
+Placer::Choice Placer::ChooseLoadOrdered(const DemandAt& demand_at, Scan scan,
+                                         const Filter& filter,
+                                         const PlanOverlay* overlay) const {
+  Choice choice;
   double best_key = std::numeric_limits<double>::infinity();
-  int64_t evaluated = 0;
-  for (int i = 0; i < view_->num_socs(); ++i) {
-    if (!Feasible(i, demand_for(i), filter, overlay)) {
-      continue;
+  ForEachCandidate(scan, [&](int i) {
+    if (!Feasible(i, demand_at(i), filter, overlay)) {
+      return;
     }
-    ++evaluated;
+    ++choice.evaluated;
     const double load = Load(i);
     const double key = options_.policy == PlacementPolicy::kSpread ? load
                                                                    : -load;
     if (key < best_key) {
       best_key = key;
-      best = i;
+      choice.soc_index = i;
     }
-  }
-  evaluations_metric_->Add(evaluated);
-  return Finish(best);
+  });
+  return choice;
 }
 
-int Placer::PickBestFit(const DemandFn& demand_for, const Filter& filter,
-                        const PlanOverlay* overlay) {
-  int best = -1;
+template <typename DemandAt>
+Placer::Choice Placer::ChooseBestFit(const DemandAt& demand_at, Scan scan,
+                                     const Filter& filter,
+                                     const PlanOverlay* overlay) const {
+  Choice choice;
   double best_score = -1.0;
-  int64_t evaluated = 0;
-  for (int i = 0; i < view_->num_socs(); ++i) {
-    const PlacementDemand d = demand_for(i);
+  ForEachCandidate(scan, [&](int i) {
+    const PlacementDemand& d = demand_at(i);
     if (!Feasible(i, d, filter, overlay)) {
-      continue;
+      return;
     }
-    ++evaluated;
+    ++choice.evaluated;
     const double score =
         overlay != nullptr ? DominantUtil(i, Combine(d, overlay->Get(i)))
                            : DominantUtil(i, d);
     if (score > best_score) {
       best_score = score;
-      best = i;
+      choice.soc_index = i;
     }
-  }
-  evaluations_metric_->Add(evaluated);
-  return Finish(best);
+  });
+  return choice;
 }
 
-int Placer::PickRandomOfK(const DemandFn& demand_for, const Filter& filter,
-                          const PlanOverlay* overlay) {
+template <typename DemandAt>
+std::vector<int> Placer::FeasibleCandidates(const DemandAt& demand_at,
+                                            Scan scan, const Filter& filter,
+                                            const PlanOverlay* overlay) const {
   std::vector<int> candidates;
-  for (int i = 0; i < view_->num_socs(); ++i) {
-    if (Feasible(i, demand_for(i), filter, overlay)) {
+  ForEachCandidate(scan, [&](int i) {
+    if (Feasible(i, demand_at(i), filter, overlay)) {
       candidates.push_back(i);
     }
-  }
+  });
+  return candidates;
+}
+
+Placer::Choice Placer::ChooseRandomOfK(std::vector<int> candidates) {
+  Choice choice;
   if (candidates.empty()) {
-    return Finish(-1);
+    return choice;
   }
   // Power-of-k-choices: sample k distinct feasible candidates (partial
   // Fisher-Yates on the seeded RNG) and keep the least loaded, so placement
@@ -234,7 +304,6 @@ int Placer::PickRandomOfK(const DemandFn& demand_for, const Filter& filter,
   // identically.
   const int size = static_cast<int>(candidates.size());
   const int k = std::min(options_.random_k, size);
-  int best = -1;
   double best_load = std::numeric_limits<double>::infinity();
   for (int j = 0; j < k; ++j) {
     const int swap_with =
@@ -243,13 +312,14 @@ int Placer::PickRandomOfK(const DemandFn& demand_for, const Filter& filter,
               candidates[static_cast<size_t>(swap_with)]);
     const int candidate = candidates[static_cast<size_t>(j)];
     const double load = Load(candidate);
-    if (load < best_load || (load == best_load && candidate < best)) {
+    if (load < best_load ||
+        (load == best_load && candidate < choice.soc_index)) {
       best_load = load;
-      best = candidate;
+      choice.soc_index = candidate;
     }
   }
-  evaluations_metric_->Add(k);
-  return Finish(best);
+  choice.evaluated = k;
+  return choice;
 }
 
 int Placer::Finish(int soc_index) {

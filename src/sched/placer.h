@@ -8,10 +8,23 @@
 // bit-identically. Placement outcomes are published to the metric registry
 // under "sched.*" (labeled by policy), so decisions and rejections land in
 // exported Perfetto traces.
+//
+// Candidates come from an index rather than a sweep where that is exact:
+// for a uniform demand that asks for slots, the Placer visits only the SoCs
+// whose bit is set in the view's free-slot bitset (see capacity.h), in
+// ascending index order. Every visited SoC still goes through the full
+// Feasible() check, so failure, power state, quarantine, filters, overlays
+// and penalties need no change hooks; a SoC is skipped only when its slot
+// check would have rejected it anyway. Ascending order keeps the
+// lowest-index tie-break, the score-evaluation count and kRandomOfK's
+// candidate vector and RNG draws, so every policy picks exactly what a
+// linear 0..N-1 scan picks. Debug builds re-run the linear scan after each
+// indexed pick and DCHECK that both agree.
 
 #ifndef SRC_SCHED_PLACER_H_
 #define SRC_SCHED_PLACER_H_
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <vector>
@@ -82,10 +95,13 @@ class Placer {
   // Picks a SoC able to host `demand` under the policy, or -1. Does not
   // reserve — call view()->Reserve() on the returned SoC. When `ctx` is
   // given, a successful pick emits a "place" flow point continuing the
-  // request's causal chain (using the category stamped at submit).
+  // request's causal chain (using the category stamped at submit). A
+  // non-negative `scan_bound` restricts candidates to SoCs
+  // [0, scan_bound), e.g. a fleet's active prefix.
   int Pick(const PlacementDemand& demand, const Filter& filter = nullptr,
-           const PlanOverlay* overlay = nullptr, RequestContext* ctx = nullptr);
-  // As Pick, with demand evaluated per candidate.
+           const PlanOverlay* overlay = nullptr, RequestContext* ctx = nullptr,
+           int scan_bound = -1);
+  // As Pick, with demand evaluated per candidate (always a linear scan).
   int PickWith(const DemandFn& demand_for, const Filter& filter = nullptr,
                const PlanOverlay* overlay = nullptr,
                RequestContext* ctx = nullptr);
@@ -105,16 +121,42 @@ class Placer {
   SocCapacityView* view() { return view_; }
 
  private:
+  // The candidate set of one pick: SoCs [0, bound), either all of them or
+  // only those with a free slot (`indexed`).
+  struct Scan {
+    int bound = 0;
+    bool indexed = false;
+  };
+  // A scored pick before any metric or RNG side effect.
+  struct Choice {
+    int soc_index = -1;
+    int64_t evaluated = 0;
+    bool operator==(const Choice&) const = default;
+  };
+
   bool Feasible(int soc_index, const PlacementDemand& demand,
                 const Filter& filter, const PlanOverlay* overlay) const;
   // Post-placement utilization of the demand's most-stressed resource.
   double DominantUtil(int soc_index, const PlacementDemand& demand) const;
-  int PickLoadOrdered(const DemandFn& demand_for, const Filter& filter,
-                      const PlanOverlay* overlay);
-  int PickBestFit(const DemandFn& demand_for, const Filter& filter,
-                  const PlanOverlay* overlay);
-  int PickRandomOfK(const DemandFn& demand_for, const Filter& filter,
-                    const PlanOverlay* overlay);
+  // Visits the scan's candidates in ascending index order.
+  template <typename Visit>
+  void ForEachCandidate(Scan scan, Visit&& visit) const;
+  // `demand_at(i)` yields the demand for candidate i.
+  template <typename DemandAt>
+  int PickFrom(const DemandAt& demand_at, Scan scan, const Filter& filter,
+               const PlanOverlay* overlay, RequestContext* ctx);
+  template <typename DemandAt>
+  Choice ChooseLoadOrdered(const DemandAt& demand_at, Scan scan,
+                           const Filter& filter,
+                           const PlanOverlay* overlay) const;
+  template <typename DemandAt>
+  Choice ChooseBestFit(const DemandAt& demand_at, Scan scan,
+                       const Filter& filter, const PlanOverlay* overlay) const;
+  template <typename DemandAt>
+  std::vector<int> FeasibleCandidates(const DemandAt& demand_at, Scan scan,
+                                      const Filter& filter,
+                                      const PlanOverlay* overlay) const;
+  Choice ChooseRandomOfK(std::vector<int> candidates);
   int Finish(int soc_index);
 
   Simulator* sim_;

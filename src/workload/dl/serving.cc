@@ -208,8 +208,10 @@ void SocServingFleet::TryDispatch() {
     }
     PlacementDemand slot;
     slot.slots = 1;
-    const int chosen = placer_.Pick(
-        slot, [this](int i) { return i < active_count_; });
+    // Only the active prefix serves; the bound keeps the pick from
+    // visiting the parked remainder of the chassis.
+    const int chosen =
+        placer_.Pick(slot, nullptr, nullptr, nullptr, active_count_);
     if (chosen < 0) {
       return;
     }

@@ -250,7 +250,7 @@ void ServerlessPlatform::ColdStart(const FunctionSpec& spec, SimTime enqueue,
     }
     inst->second.busy = true;
     RunOn(&inst->second, spec, enqueue, trace, std::move(cb));
-  });
+  }, "serverless.cold_start");
 }
 
 void ServerlessPlatform::DrainDeferred() {
@@ -343,7 +343,7 @@ void ServerlessPlatform::RunOn(Instance* instance, const FunctionSpec& spec,
       }
     }
     FinishInvocation(id, enqueue, trace, ok, std::move(cb));
-  });
+  }, "serverless.exec");
 }
 
 void ServerlessPlatform::FinishInvocation(int64_t instance_id, SimTime enqueue,
@@ -386,7 +386,8 @@ void ServerlessPlatform::FinishInvocation(int64_t instance_id, SimTime enqueue,
 void ServerlessPlatform::ArmEviction(Instance* instance) {
   const int64_t id = instance->id;
   instance->eviction =
-      sim_->ScheduleAfter(config_.keep_alive, [this, id] { Evict(id); });
+      sim_->ScheduleAfter(config_.keep_alive, [this, id] { Evict(id); },
+                          "serverless.evict");
 }
 
 void ServerlessPlatform::Evict(int64_t instance_id) {
